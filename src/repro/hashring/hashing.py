@@ -21,6 +21,13 @@ Two families are provided:
 Both accept ``str``, ``bytes`` and ``int`` keys; integers are encoded as
 their decimal string so that object ids hash identically whether the
 caller stores them as ints or strings.
+
+FNV-1a is a left fold over bytes, so a stream of keys sharing a prefix
+(``"7:open:gap:0"``, ``"7:open:gap:1"``, ...) can fold the prefix once:
+:func:`fnv1a_state` returns the fold state after some bytes and
+:func:`hash64_from` finishes a hash from such a state.
+``hash64_from(fnv1a_state(p), s) == hash64(p + s)`` for all byte
+strings ``p`` and ``s``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from typing import Iterable, Literal, Union
 
 import numpy as np
 
-__all__ = ["HashFunction", "hash64", "hash_key", "vnode_positions"]
+__all__ = ["HashFunction", "fnv1a_state", "hash64", "hash64_from",
+           "hash_key", "vnode_positions"]
 
 HashFunction = Literal["fnv1a", "sha1"]
 
@@ -67,12 +75,17 @@ def _splitmix64(h: int) -> int:
     return h ^ (h >> 31)
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a_state(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """The FNV-1a fold state after feeding *data* to *state* (the FNV
+    offset basis by default), before the finalizer."""
     for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return _splitmix64(h)
+        state = ((state ^ byte) * _FNV_PRIME) & _MASK64
+    return state
+
+
+def hash64_from(state: int, suffix: bytes) -> int:
+    """``hash64(prefix + suffix)`` for ``state = fnv1a_state(prefix)``."""
+    return _splitmix64(fnv1a_state(suffix, state))
 
 
 def _sha1_64(data: bytes) -> int:
@@ -91,7 +104,7 @@ def hash64(key: Key, method: HashFunction = "fnv1a") -> int:
     """
     data = _to_bytes(key)
     if method == "fnv1a":
-        return _fnv1a64(data)
+        return _splitmix64(fnv1a_state(data))
     if method == "sha1":
         return _sha1_64(data)
     raise ValueError(f"unknown hash method: {method!r}")

@@ -15,7 +15,10 @@ Two canonical load shapes from the queueing literature:
 All "randomness" (think-time jitter, interarrival gaps, retry
 backoff) derives from FNV-1a hashes of ``(seed, population, ordinal)``
 — no PRNG state, so a same-seed run replays byte-identically no
-matter how completions and arrivals interleave.
+matter how completions and arrivals interleave.  Each population folds
+its shared key prefixes (``"{seed}:{name}:gap:"`` and the like) once
+and hashes only the ordinal suffix per draw; the draws are the same
+as hashing the whole key string.
 
 Populations do not fabricate requests themselves; the harness passes
 a ``factory(pop, rid, key) -> Request`` that owns placement (which
@@ -29,22 +32,28 @@ import itertools
 import math
 from typing import Callable, Optional
 
-from repro.hashring.hashing import hash64
+from repro.hashring.hashing import fnv1a_state, hash64_from
 from repro.simulation.engine import Simulator
 
 from repro.serving.coordinator import AdmissionCoordinator, Request
 
 __all__ = ["ClosedLoopPopulation", "OpenLoopPopulation"]
 
-#: ``factory(pop, rid, key)`` builds the request; *key* is the
-#: deterministic hash namespace for this issue.
-RequestFactory = Callable[[str, int, str], Request]
+#: ``factory(pop, rid, key)`` builds the request; *key* is the FNV-1a
+#: fold state (:func:`~repro.hashring.hashing.fnv1a_state`) of this
+#: issue's deterministic hash namespace, e.g. ``"7:open:12"``.
+RequestFactory = Callable[[str, int, int], Request]
 
 
-def _unit(key: str) -> float:
-    """Deterministic uniform in (0, 1) — the +0.5 offset keeps it off
-    both endpoints so it is safe inside ``log``."""
-    return (hash64(key) + 0.5) / 2.0 ** 64
+def unit_draw(state: int, suffix: bytes) -> float:
+    """Deterministic uniform in (0, 1) from the hash of the key whose
+    fold state is *state* followed by *suffix* — the +0.5 offset keeps
+    it off both endpoints so it is safe inside ``log``."""
+    return (hash64_from(state, suffix) + 0.5) / 2.0 ** 64
+
+
+def _prefix_state(seed: int, name: str, part: str = "") -> int:
+    return fnv1a_state(f"{seed}:{name}:{part}".encode())
 
 
 class ClosedLoopPopulation:
@@ -78,20 +87,23 @@ class ClosedLoopPopulation:
         self.retries = 0
         self._issues = [0] * clients
         self._rid = itertools.count()
+        self._key_state = _prefix_state(seed, name)
+        self._first_state = _prefix_state(seed, name, "first:")
+        self._think_state = _prefix_state(seed, name, "think:")
 
     def start(self) -> None:
         """Stagger first issues over one think time so thousands of
         clients do not arrive as a single same-instant spike."""
         for c in range(self.clients):
-            first = self.think_time * _unit(
-                f"{self.seed}:{self.name}:first:{c}")
+            first = self.think_time * unit_draw(self._first_state,
+                                                b"%d" % c)
             self.sim.schedule_at(self.sim.now + first, self._issue, c)
 
     # ------------------------------------------------------------------
     def _issue(self, c: int) -> None:
         n = self._issues[c]
         self._issues[c] += 1
-        key = f"{self.seed}:{self.name}:{c}:{n}"
+        key = fnv1a_state(b"%d:%d" % (c, n), self._key_state)
         req = self.factory(self.name, next(self._rid), key)
         wrapped = req.on_complete
 
@@ -101,9 +113,9 @@ class ClosedLoopPopulation:
                 _orig(r, t)
             self._think(_c)
 
-        def rejected(r: Request, _c: int = c, _key: str = key) -> None:
+        def rejected(r: Request, _c: int = c, _key: int = key) -> None:
             self.retries += 1
-            backoff = self.retry_delay * (0.5 + _unit(_key + ":retry"))
+            backoff = self.retry_delay * (0.5 + unit_draw(_key, b":retry"))
             self.sim.schedule_at(self.sim.now + backoff, self._issue, _c)
 
         req.on_complete = done
@@ -113,7 +125,7 @@ class ClosedLoopPopulation:
     def _think(self, c: int) -> None:
         n = self._issues[c]
         think = self.think_time * (
-            0.5 + _unit(f"{self.seed}:{self.name}:think:{c}:{n}"))
+            0.5 + unit_draw(self._think_state, b"%d:%d" % (c, n)))
         self.sim.schedule_at(self.sim.now + think, self._issue, c)
 
 
@@ -146,19 +158,21 @@ class OpenLoopPopulation:
         self.until = until
         self.name = name
         self.arrivals = 0
+        self._key_state = _prefix_state(seed, name)
+        self._gap_state = _prefix_state(seed, name, "gap:")
 
     def start(self) -> None:
         self.sim.schedule_at(self.sim.now + self._gap(0), self._arrive, 0)
 
     def _gap(self, n: int) -> float:
-        u = _unit(f"{self.seed}:{self.name}:gap:{n}")
+        u = unit_draw(self._gap_state, b"%d" % n)
         return -math.log(u) / self.rate
 
     def _arrive(self, n: int) -> None:
         if self.until is not None and self.sim.now >= self.until:
             return
         self.arrivals += 1
-        key = f"{self.seed}:{self.name}:{n}"
+        key = fnv1a_state(b"%d" % n, self._key_state)
         self.coordinator.enqueue(self.factory(self.name, n, key))
         self.sim.schedule_at(self.sim.now + self._gap(n + 1),
                              self._arrive, n + 1)

@@ -14,7 +14,9 @@ against the controller's declared bound, and an SLO verdict.
 Everything is a pure function of ``(seed, parameters)``: placement,
 jitter, interarrival gaps and retry backoff all come from FNV-1a hash
 streams, so a same-seed run replays byte-identically — the property
-the CI ``serving-smoke`` job pins with a trace checksum.
+the CI ``serving-smoke`` job pins with a trace checksum.  Each request
+key is folded once (see :mod:`repro.serving.clients`) and its state is
+reused for the ``:rw``, ``:oid`` and ``:replica`` draws.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.cluster import ElasticCluster
-from repro.hashring.hashing import hash64
+from repro.hashring.hashing import fnv1a_state, hash64_from
 from repro.obs.analytics import percentile
 from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
 from repro.obs.runtime import OBS
@@ -32,7 +34,11 @@ from repro.simulation.engine import Simulator
 from repro.simulation.flows import FluidFlow
 from repro.simulation.iomodel import IOModel
 
-from repro.serving.clients import ClosedLoopPopulation, OpenLoopPopulation
+from repro.serving.clients import (
+    ClosedLoopPopulation,
+    OpenLoopPopulation,
+    unit_draw,
+)
 from repro.serving.coordinator import AdmissionCoordinator, Request
 from repro.serving.flowcontrol import FlowController, make_controller
 
@@ -163,26 +169,25 @@ def run_serve(
         state["written"] += 1
 
     # -- request fabrication (placement + disk cost + materialisation) --
-    def _unit_of(key: str) -> float:
-        return (hash64(key) + 0.5) / 2.0 ** 64
-
-    def pick_replica(oid: int, key: str) -> int:
+    # *key* arguments are FNV-1a fold states of the request's hash
+    # namespace (see RequestFactory).
+    def pick_replica(oid: int, key: int) -> int:
         servers = cluster.ech.locate(oid).servers
-        return servers[hash64(key + ":replica") % len(servers)]
+        return servers[hash64_from(key, b":replica") % len(servers)]
 
     def materialise(req: Request, _t: float) -> None:
         cluster.write(req.oid, request_bytes)
         state["written"] += 1
 
-    def factory(pop: str, rid: int, key: str) -> Request:
-        is_write = _unit_of(key + ":rw") < write_ratio
+    def factory(pop: str, rid: int, key: int) -> Request:
+        is_write = unit_draw(key, b":rw") < write_ratio
         if is_write:
             oid = next(oid_counter)
             server = cluster.ech.locate(oid).servers[0]
             nbytes = float(replicas * request_bytes)
             on_complete = materialise
         else:
-            oid = 1 + hash64(key + ":oid") % max(1, state["written"])
+            oid = 1 + hash64_from(key, b":oid") % max(1, state["written"])
             server = pick_replica(oid, key)
             nbytes = float(request_bytes)
             on_complete = None
@@ -198,10 +203,13 @@ def run_serve(
         seed=seed, until=duration, name="open")
 
     # -- resize actions -------------------------------------------------
+    failover_state = fnv1a_state(f"{seed}:failover:".encode())
+
     def relocate(req: Request) -> int:
         if req.is_write:
             return cluster.ech.locate(req.oid).servers[0]
-        return pick_replica(req.oid, f"{seed}:failover:{req.rid}")
+        return pick_replica(
+            req.oid, fnv1a_state(b"%d" % req.rid, failover_state))
 
     def resize_down() -> None:
         cluster.resize(n - off_count)

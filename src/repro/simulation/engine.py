@@ -12,6 +12,10 @@ arrivals and completions replay bit-for-bit regardless of heap
 internals.  Scheduling times must be finite: a NaN compares false
 against everything, which would silently corrupt the heap's ordering,
 so non-finite times are rejected at :meth:`Simulator.schedule_at`.
+
+The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+``heapq`` orders entries by comparing two floats or two ints in C and
+never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.runtime import OBS
 
@@ -52,9 +56,6 @@ class Event:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """The event loop.
@@ -74,7 +75,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         #: Live (scheduled, not yet fired or cancelled) event count —
         #: kept exact on schedule/cancel/pop so :attr:`pending` is O(1)
@@ -105,8 +106,9 @@ class Simulator:
             raise ValueError(f"cannot schedule at non-finite time {t!r}")
         if t < self.now:
             raise ValueError(f"cannot schedule at {t} < now={self.now}")
-        ev = Event(t, next(self._seq), fn, args, sim=self)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._seq)
+        ev = Event(t, seq, fn, args, sim=self)
+        heapq.heappush(self._heap, (t, seq, ev))
         self._live += 1
         self._sched_counter.inc()
         return ev
@@ -144,48 +146,53 @@ class Simulator:
         schedule, e.g. abandoning an armed fault plan).  Returns how
         many live events were cancelled."""
         cancelled = 0
-        for ev in self._heap:
+        for _t, _seq, ev in self._heap:
             if not ev.cancelled:
                 ev.cancel()
                 cancelled += 1
         return cancelled
 
+    def _discard_cancelled(self) -> None:
+        """Pop cancelled entries off the heap top — the one place a
+        cancelled event leaves the heap and is counted."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            OBS.metrics.inc("engine.cancelled")
+
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        self._discard_cancelled()
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is
         empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                OBS.metrics.inc("engine.cancelled")
-                continue
-            self._live -= 1
-            ev._sim = None      # a late cancel() must not decrement again
-            self.now = ev.time
-            self._events_counter.inc()
-            bus = OBS.bus
-            if bus.active:
-                bus.clock = ev.time
-                bus.emit("engine.event", t=ev.time, seq=ev.seq,
-                         fn=getattr(ev.fn, "__qualname__", repr(ev.fn)))
-            prof = OBS.profiler
-            if prof is not None:
-                prof.advance_sim(ev.time)
-                prof.push("engine:" + getattr(
-                    ev.fn, "__qualname__", repr(ev.fn)))
-                try:
-                    ev.fn(*ev.args)
-                finally:
-                    prof.pop()
-            else:
+        self._discard_cancelled()
+        if not self._heap:
+            return False
+        _t, _seq, ev = heapq.heappop(self._heap)
+        self._live -= 1
+        ev._sim = None      # a late cancel() must not decrement again
+        self.now = ev.time
+        self._events_counter.inc()
+        bus = OBS.bus
+        if bus.active:
+            bus.clock = ev.time
+            bus.emit("engine.event", t=ev.time, seq=ev.seq,
+                     fn=getattr(ev.fn, "__qualname__", repr(ev.fn)))
+        prof = OBS.profiler
+        if prof is not None:
+            prof.advance_sim(ev.time)
+            prof.push("engine:" + getattr(
+                ev.fn, "__qualname__", repr(ev.fn)))
+            try:
                 ev.fn(*ev.args)
-            return True
-        return False
+            finally:
+                prof.pop()
+        else:
+            ev.fn(*ev.args)
+        return True
 
     def run(self) -> None:
         """Drain the event queue."""

@@ -207,14 +207,22 @@ class TestInvalidation:
 
 
 class TestKernelInternals:
-    def test_lazy_fill(self):
+    def test_new_table_is_fully_filled(self):
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)
-        tbl = ech._kernel.table(1, ech.history.current.is_active)
-        assert tbl.filled_slots == 0
-        ech.locate(42)
-        assert tbl.filled_slots >= 1
-        ech.locate_bulk(range(100))
-        assert 0 < tbl.filled_slots <= tbl.num_slots
+        ech.set_active(6)
+        table = ech.history.current
+        tbl = ech._kernel.table(table.version, table.is_active)
+        # Filled at creation: the bulk arrays cover every slot before
+        # any lookup, and no PlacementResult has been built yet.
+        assert all(res is None for res in tbl._results)
+        bulk = tbl.gather(np.arange(tbl.num_slots))
+        assert bulk.all_ok
+        for slot in range(tbl.num_slots):
+            ref = place_primary_from_slot(
+                ech.ring, slot, ech.replicas, ech.is_primary,
+                table.is_active, ech.chain)
+            assert bulk.result(slot) == ref
+            assert tbl.lookup(slot) == ref
 
     def test_table_hits_metric(self):
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hashring.hashing import (
+    _to_bytes,
     bulk_hash,
+    fnv1a_state,
     hash64,
+    hash64_from,
     hash_key,
     splitmix64_array,
     vnode_positions,
@@ -57,6 +62,37 @@ class TestHash64:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # 15 dof, p=0.001 critical value is 37.7.
         assert chi2 < 37.7
+
+
+keys = st.one_of(st.text(), st.binary(), st.integers())
+
+
+class TestPrefixState:
+    """``hash64_from(fnv1a_state(p), s)`` finishes the hash of
+    ``p + s``: the serving hash streams fold shared prefixes once."""
+
+    @given(keys, keys)
+    def test_split_anywhere_matches_whole_key(self, prefix, suffix):
+        p, s = _to_bytes(prefix), _to_bytes(suffix)
+        assert hash64_from(fnv1a_state(p), s) == hash64(p + s)
+
+    @given(st.text(), st.integers(min_value=0))
+    def test_str_prefix_int_suffix(self, prefix, n):
+        # The shape of the serving keys, e.g. "7:open:gap:" + 12.
+        assert (hash64_from(fnv1a_state(prefix.encode()), b"%d" % n)
+                == hash64(f"{prefix}{n}"))
+
+    @given(keys, st.binary(), st.binary())
+    def test_states_chain(self, key, mid, suffix):
+        state = fnv1a_state(mid, fnv1a_state(_to_bytes(key)))
+        assert hash64_from(state, suffix) == hash64(
+            _to_bytes(key) + mid + suffix)
+
+    def test_non_ascii_and_empty(self):
+        assert hash64_from(fnv1a_state("é:".encode()), "ß".encode()) \
+            == hash64("é:ß")
+        assert hash64_from(fnv1a_state(b""), b"") == hash64("")
+        assert hash64_from(fnv1a_state(b"42"), b"") == hash64(42)
 
 
 class TestVnodePositions:

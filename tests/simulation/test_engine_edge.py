@@ -1,7 +1,5 @@
 """Additional engine edge cases surfaced while building the drivers."""
 
-import pytest
-
 from repro.simulation.engine import Simulator
 
 
@@ -43,7 +41,7 @@ class TestPendingCounter:
 
     @staticmethod
     def naive_pending(sim):
-        return sum(1 for ev in sim._heap if not ev.cancelled)
+        return sum(1 for _t, _seq, ev in sim._heap if not ev.cancelled)
 
     def test_counter_matches_scan_under_random_ops(self):
         import random
@@ -111,3 +109,27 @@ class TestClockDiscipline:
             sim.schedule(1.0, log.append, i)
         sim.run()
         assert log == list(range(50))
+
+
+class TestCancelledCount:
+    """``engine.cancelled`` counts every cancelled event the loop
+    discards, whether the discard happens in ``step`` or in the
+    ``peek_time`` that ``run_until`` consults first."""
+
+    @staticmethod
+    def cancelled_by(drive):
+        from repro.obs.runtime import OBS
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0, 4.0):
+            ev = sim.schedule(t, lambda: None)
+            if t in (1.0, 3.0):
+                ev.cancel()
+        counter = OBS.metrics.counter("engine.cancelled")
+        before = counter.value
+        drive(sim)
+        return counter.value - before
+
+    def test_run_and_run_until_agree(self):
+        by_run = self.cancelled_by(lambda sim: sim.run())
+        by_run_until = self.cancelled_by(lambda sim: sim.run_until(10.0))
+        assert by_run == by_run_until == 2
