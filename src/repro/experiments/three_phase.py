@@ -29,26 +29,19 @@ taken from the real object-level cluster state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.migration import addition_migration_plan
 from repro.cluster.recovery import plan_departure_recovery
 from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import (
-    IOModel,
-    client_coefficients,
-    replica_load_fractions_from_matrix,
-)
-from repro.workloads.three_phase import Phase, three_phase_workload
+from repro.testbed import ClientPhases, Testbed
+from repro.workloads.three_phase import three_phase_workload
 
 __all__ = ["ThreePhaseResult", "run_three_phase"]
 
 Mode = Literal["none", "original", "full", "selective"]
-
-MB = 10 ** 6
 
 
 @dataclass
@@ -127,99 +120,23 @@ def run_three_phase(
     else:
         cluster = OriginalCHCluster(n, replicas, vnodes_per_server=1_000,
                                     disk_bandwidth=disk_bw)
+    bed = Testbed(cluster, disk_bw, dt, probe_objects=probe_objects)
+    io = bed.io
+    client = ClientPhases(bed, phases, replicas, client_cap, object_size)
 
-    oid_counter = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    # membership-dependent state
-    # ------------------------------------------------------------------
-    def active_ranks() -> List[int]:
-        if elastic_mode:
-            table = cluster.ech.membership
-            return [r for r in cluster.servers if table.is_active(r)]
-        return list(cluster.members)
-
-    def capacities() -> Dict[int, float]:
-        return {r: disk_bw for r in active_ranks()}
-
-    frac_cache: Dict[Tuple[int, ...], Dict[int, float]] = {}
-
-    def fractions() -> Dict[int, float]:
-        key = tuple(sorted(active_ranks()))
-        if key not in frac_cache:
-            probe = range(10_000_000, 10_000_000 + probe_objects)
-            if elastic_mode:
-                matrix = cluster.ech.locate_bulk(probe).servers
-            else:
-                matrix = cluster.placement_bulk(probe).servers
-            frac_cache[key] = replica_load_fractions_from_matrix(matrix)
-        return frac_cache[key]
-
-    if elastic_mode:
-        # Capacities depend only on the membership table, and every
-        # membership transition bumps the placement version — a cheap
-        # token that lets unchanged ticks reuse the last allocation.
-        io = IOModel(capacities, dt=dt,
-                     capacity_token=lambda: cluster.ech.current_version)
-    else:
-        # Original-CH membership has no version counter; the dict-
-        # compare fallback is plenty at these cluster sizes.
-        io = IOModel(capacities, dt=dt)
-
-    # ------------------------------------------------------------------
-    # client phases
-    # ------------------------------------------------------------------
+    # Original-CH departures run one at a time, each as a recovery flow.
     state = {
-        "phase_idx": 0,
-        "client": None,            # live client flow
-        "write_carry": 0.0,        # fractional object accumulator
-        "phase_ends": {},
-        "pending_actions": [],     # resize work queued at phase ends
-        "removal_queue": [],       # original-CH sequential departures
+        "removal_queue": [],
         "removal_flow": None,
         "rereplicated": 0.0,
     }
 
-    def start_phase(idx: int) -> None:
-        phase = phases[idx]
-        coeffs = client_coefficients(fractions(), replicas,
-                                     phase.write_ratio)
-        cap = min(client_cap, phase.rate_cap or client_cap)
-        flow = FluidFlow(
-            name="client",
-            coefficients=coeffs,
-            total_bytes=phase.total_bytes,
-            rate_cap=cap,
-        )
-        state["client"] = io.flows.add(flow)
-
-    def refresh_client_coefficients() -> None:
-        """Re-point the live client flow at the current membership."""
-        flow = state["client"]
-        if flow is not None and not flow.done:
-            phase = phases[state["phase_idx"]]
-            flow.coefficients = client_coefficients(
-                fractions(), replicas, phase.write_ratio)
-
     # ------------------------------------------------------------------
     # resize actions at phase boundaries
     # ------------------------------------------------------------------
-    def migration_coefficients(per_dest: Dict[int, float]) -> Dict[int, float]:
-        """A migrated byte is written once at its destination and read
-        once somewhere; spread the read side evenly over active
-        servers."""
-        total = sum(per_dest.values())
-        active = active_ranks()
-        coeffs: Dict[int, float] = {r: 1.0 / len(active) for r in active}
-        if total > 0:
-            for rank, b in per_dest.items():
-                coeffs[rank] = coeffs.get(rank, 0.0) + b / total
-        return coeffs
-
     def resize_down(now: float) -> None:
         if elastic_mode:
             cluster.resize(n - off_count)       # instant
-            refresh_client_coefficients()
         else:
             state["removal_queue"] = sorted(cluster.members)[-off_count:][::-1]
             start_next_removal(now)
@@ -235,44 +152,23 @@ def run_three_phase(
             state["rereplicated"] += moved
             state["removal_queue"].pop(0)
             state["removal_flow"] = None
-            refresh_client_coefficients()
+            client.refresh()
             start_next_removal(io.samples[-1][0] if io.samples else now)
 
-        flow = FluidFlow(
-            name="recovery",
-            coefficients=migration_coefficients(plan.bytes_per_destination()),
-            total_bytes=float(max(plan.total_bytes, 1)),
-            on_complete=finish,
-        )
-        state["removal_flow"] = io.flows.add(flow)
+        state["removal_flow"] = bed.migration_flow(
+            max(plan.total_bytes, 1), plan.bytes_per_destination(),
+            name="recovery", on_complete=finish)
 
     def resize_up(now: float) -> None:
         if elastic_mode:
             cluster.resize(n)
-            refresh_client_coefficients()
-            # The resize may open a resize.cycle span; grab it before
-            # the (logically instant) re-integration pass closes it so
-            # the byte-moving flow below is parented to its cycle.
-            cycle = cluster.reintegration_cycle
             if mode == "selective":
-                backlog = cluster.selective_backlog_bytes()
-                report = cluster.run_selective_reintegration()
-                volume = max(report.bytes_migrated, backlog)
-                if volume > 0:
-                    io.flows.add(FluidFlow(
-                        name="migration",
-                        coefficients=migration_coefficients({}),
-                        total_bytes=float(volume),
-                        rate_cap=selective_rate_limit,
-                    ), parent=cycle)
+                bed.reintegrate_selective(selective_rate_limit)
             elif mode == "full":
+                cycle = cluster.reintegration_cycle
                 moved = cluster.run_full_reintegration()
                 if moved > 0:
-                    io.flows.add(FluidFlow(
-                        name="migration",
-                        coefficients=migration_coefficients({}),
-                        total_bytes=float(moved),
-                    ), parent=cycle)
+                    bed.migration_flow(moved, parent=cycle)
         else:
             # Baseline: any departures still pending are abandoned, the
             # servers rejoin empty and consistent hashing pulls their
@@ -290,76 +186,43 @@ def run_three_phase(
                 per_dest = plan.bytes_per_destination()
                 for rank in off:
                     moved += cluster.add_server(rank)
-            refresh_client_coefficients()
             if moved > 0:
-                io.flows.add(FluidFlow(
-                    name="migration",
-                    coefficients=migration_coefficients(per_dest),
-                    total_bytes=float(moved),
-                ))
-
-    # ------------------------------------------------------------------
-    # per-tick bookkeeping
-    # ------------------------------------------------------------------
-    def materialise_writes(now: float) -> None:
-        """Turn the client flow's written bytes into placed objects so
-        migration volumes and dirty tracking reflect real state."""
-        flow = state["client"]
-        if flow is None:
-            return
-        phase = phases[state["phase_idx"]]
-        written = flow.last_rate * dt * phase.write_ratio
-        state["write_carry"] += written
-        while state["write_carry"] >= object_size:
-            cluster.write(next(oid_counter), object_size)
-            state["write_carry"] -= object_size
-
-    def on_tick(now: float) -> None:
-        if state["client"] is None:
-            return
+                bed.migration_flow(moved, per_dest)
 
     # Main loop ---------------------------------------------------------
     times: List[float] = []
     thr: List[float] = []
     mig: List[float] = []
 
-    start_phase(0)
-    now = 0.0
-    while now < max_duration:
-        now += dt
+    def tick(now: float) -> None:
         achieved = io.step(now)
         times.append(now)
         thr.append(achieved.get("client", 0.0))
         mig.append(achieved.get("migration", 0.0)
                    + achieved.get("recovery", 0.0))
-        materialise_writes(now)
 
-        flow = state["client"]
-        if flow is not None and flow.done:
-            idx = state["phase_idx"]
-            state["phase_ends"][phases[idx].name] = now
-            state["client"] = None
-            state["write_carry"] = 0.0
-            if mode != "none":
-                if idx == 0:
-                    resize_down(now)
-                elif idx == 1:
-                    resize_up(now)
-            if idx + 1 < len(phases):
-                state["phase_idx"] = idx + 1
-                start_phase(idx + 1)
-            else:
-                # Drain background flows (a rate-limited migration can
-                # outlive phase 3) so migration durations are measured
-                # to completion, then stop.
-                while len(io.flows) > 0 and now < max_duration:
-                    now += dt
-                    achieved = io.step(now)
-                    times.append(now)
-                    thr.append(achieved.get("client", 0.0))
-                    mig.append(achieved.get("migration", 0.0)
-                               + achieved.get("recovery", 0.0))
-                break
+    client.start(0)
+    now = 0.0
+    while now < max_duration:
+        now += dt
+        tick(now)
+        client.materialise_writes()
+        idx = client.end_phase(now)
+        if idx is None:
+            continue
+        if mode != "none":
+            if idx == 0:
+                resize_down(now)
+            elif idx == 1:
+                resize_up(now)
+        if not client.start_next():
+            # Drain background flows (a rate-limited migration can
+            # outlive phase 3) so migration durations are measured to
+            # completion, then stop.
+            while len(io.flows) > 0 and now < max_duration:
+                now += dt
+                tick(now)
+            break
 
     if elastic_mode:
         migrated = sum(cluster.migrated_bytes.values())
@@ -370,7 +233,7 @@ def run_three_phase(
         times=times,
         throughput=thr,
         migration_rate=mig,
-        phase_ends=dict(state["phase_ends"]),
+        phase_ends=dict(client.ends),
         migrated_bytes=float(migrated),
         rereplicated_bytes=float(state["rereplicated"]),
         duration=now,

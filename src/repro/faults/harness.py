@@ -27,9 +27,8 @@ What the run asserts (``check=True``, the default):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.cluster import CrashRecoveryWork, ElasticCluster
 from repro.core.dirty_table import DirtyTable
@@ -42,15 +41,13 @@ from repro.faults.transfers import (
     TransferJob,
     TransferManager,
 )
-from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
 from repro.obs.runtime import OBS
-from repro.simulation.bandwidth import apply_capacity_factors
-from repro.simulation.engine import Simulator
-from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import (
-    IOModel,
-    client_coefficients,
-    replica_load_fractions_from_matrix,
+from repro.testbed import (
+    ClientPhases,
+    Testbed,
+    checked_run,
+    fault_timeline_section,
+    invariants_section,
 )
 from repro.workloads.three_phase import three_phase_workload
 
@@ -138,296 +135,221 @@ def run_chaos(
     plan.check_ranks(n)
 
     phases = three_phase_workload(scale=scale, phase2_rate=phase2_rate)
-    sim = Simulator()
-    injector = FaultInjector(plan)
-    # The dirty table rides the replicated KV across ALL ranks (not
-    # just the always-on primaries): a crashed rank takes its metadata
-    # shard down with it, and the quorum + anti-entropy machinery — not
-    # single-copy luck — is what keeps the table intact.  Degrade mode
-    # keeps the metadata path available through partitions; the kv.*
-    # checkers watch what that costs.
-    dirty_store = ReplicatedKVStore(
-        list(range(1, n + 1)), replicas=min(3, n),
-        link_blocked=injector.link_blocked, on_no_quorum="degrade")
-    cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw,
-                             layout_mode="uniform",
-                             placement_mode="original",
-                             dirty_table=DirtyTable(dirty_store))
-    policy = RetryPolicy(seed=seed if seed is not None else 0)
-    oid_counter = itertools.count(1)
+    with checked_run(check) as run:
+        injector = FaultInjector(plan)
+        # The dirty table rides the replicated KV across ALL ranks (not
+        # just the always-on primaries): a crashed rank takes its
+        # metadata shard down with it, and the quorum + anti-entropy
+        # machinery — not single-copy luck — is what keeps the table
+        # intact.  Degrade mode keeps the metadata path available
+        # through partitions; the kv.* checkers watch what that costs.
+        dirty_store = ReplicatedKVStore(
+            list(range(1, n + 1)), replicas=min(3, n),
+            link_blocked=injector.link_blocked, on_no_quorum="degrade")
+        cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw,
+                                 layout_mode="uniform",
+                                 placement_mode="original",
+                                 dirty_table=DirtyTable(dirty_store))
+        bed = Testbed(cluster, disk_bw, dt, injector=injector,
+                      probe_objects=probe_objects)
+        sim, io = bed.sim, bed.io
+        client = ClientPhases(bed, phases, replicas, client_cap,
+                              object_size)
+        policy = RetryPolicy(seed=seed if seed is not None else 0)
 
-    # ------------------------------------------------------------------
-    # membership-dependent state (same shape as the three-phase driver)
-    # ------------------------------------------------------------------
-    def active_ranks() -> List[int]:
-        table = cluster.ech.membership
-        return [r for r in cluster.servers if table.is_active(r)]
+        def transfer_coefficients(planned: PlannedTransfer,
+                                  _job: TransferJob) -> Dict[int, float]:
+            ranks = sorted(planned.ranks) or bed.active_ranks()
+            return {r: 1.0 / len(ranks) for r in ranks}
 
-    def capacities() -> Dict[int, float]:
-        return apply_capacity_factors(
-            {r: disk_bw for r in active_ranks()},
-            injector.capacity_factors())
+        manager = TransferManager(cluster, io.flows, policy,
+                                  coefficients_for=transfer_coefficients,
+                                  link_blocked=injector.link_blocked)
 
-    frac_cache: Dict[Tuple[int, ...], Dict[int, float]] = {}
-
-    def fractions() -> Dict[int, float]:
-        key = tuple(sorted(active_ranks()))
-        if key not in frac_cache:
-            probe = range(10_000_000, 10_000_000 + probe_objects)
-            matrix = cluster.ech.locate_bulk(probe).servers
-            frac_cache[key] = replica_load_fractions_from_matrix(matrix)
-        return frac_cache[key]
-
-    # Capacities depend on the membership table (placement version)
-    # and the injector's ambient degradation windows (its generation
-    # bumps on every fired action) — together a complete, cheap token
-    # for "capacities provably unchanged since the last solve".
-    io = IOModel(capacities, dt=dt,
-                 capacity_token=lambda: (cluster.ech.current_version,
-                                         injector.generation))
-
-    def transfer_coefficients(planned: PlannedTransfer,
-                              _job: TransferJob) -> Dict[int, float]:
-        ranks = sorted(planned.ranks) or active_ranks()
-        return {r: 1.0 / len(ranks) for r in ranks}
-
-    manager = TransferManager(cluster, io.flows, policy,
-                              coefficients_for=transfer_coefficients,
-                              link_blocked=injector.link_blocked)
-
-    state = {
-        "phase_idx": 0,
-        "client": None,
-        "write_carry": 0.0,
-        "phase_ends": {},
-        "desired": n,
-        "crashed": set(),
-        "reint_round": 0,
-        "written": 0,
-        "degraded_reads": 0,
-        "unavailable_reads": 0,
-    }
-    audits: List[Dict[str, object]] = []
-
-    # ------------------------------------------------------------------
-    # client phases
-    # ------------------------------------------------------------------
-    def start_phase(idx: int) -> None:
-        phase = phases[idx]
-        coeffs = client_coefficients(fractions(), replicas,
-                                     phase.write_ratio)
-        cap = min(client_cap, phase.rate_cap or client_cap)
-        state["client"] = io.flows.add(FluidFlow(
-            name="client", coefficients=coeffs,
-            total_bytes=phase.total_bytes, rate_cap=cap))
-
-    def refresh_client_coefficients() -> None:
-        flow = state["client"]
-        if flow is not None and not flow.done:
-            phase = phases[state["phase_idx"]]
-            flow.coefficients = client_coefficients(
-                fractions(), replicas, phase.write_ratio)
-
-    def materialise_writes(now: float) -> None:
-        flow = state["client"]
-        if flow is None:
-            return
-        phase = phases[state["phase_idx"]]
-        state["write_carry"] += flow.last_rate * dt * phase.write_ratio
-        while state["write_carry"] >= object_size:
-            cluster.write(next(oid_counter), object_size)
-            state["written"] += 1
-            state["write_carry"] -= object_size
-
-    def sample_read(now: float) -> None:
-        """One deterministic read per tick through the degraded-read
-        fallback path — exercises the replica-chain walk whenever a
-        crash window leaves primaries dark."""
-        if state["written"] == 0:
-            return
-        oid = (int(round(now / dt)) % state["written"]) + 1
-        try:
-            _, degraded = cluster.read_with_fallback(oid)
-        except LookupError:
-            state["unavailable_reads"] += 1
-            OBS.bus.emit("read.unavailable", t=now, oid=oid)
-            return
-        if degraded:
-            state["degraded_reads"] += 1
-            OBS.bus.emit("read.degraded", t=now, oid=oid)
-
-    # ------------------------------------------------------------------
-    # transfers
-    # ------------------------------------------------------------------
-    def submit_recovery(work: CrashRecoveryWork, now: float) -> None:
-        key = f"recovery:r{work.rank}v{work.version}"
-
-        def plan_fn(work: CrashRecoveryWork = work
-                    ) -> Optional[PlannedTransfer]:
-            nbytes, ranks = cluster.crash_recovery_outlook(work)
-            return PlannedTransfer(
-                nbytes=float(nbytes),
-                ranks=frozenset(ranks),
-                oids=tuple(sorted(work.lost)),
-                commit=lambda: cluster.commit_crash_recovery(
-                    work, strict=False))
-
-        manager.submit(TransferJob(key=key, kind="recovery",
-                                   plan_fn=plan_fn), now=now)
-
-    def maybe_submit_reintegration(now: float) -> bool:
-        if any(job.kind == "reintegration"
-               and job.status in ("pending", "active")
-               for job in manager.jobs):
-            return False
-        if state["reint_round"] >= _MAX_REINTEGRATION_ROUNDS:
-            return False
-        outlook = cluster.plan_selective_reintegration()
-        if outlook.actionable == 0:
-            return False
-        if outlook.nbytes == 0 and not cluster.ech.is_full_power:
-            # Nothing to move, and below full power Algorithm 2 may not
-            # clear entries (lines 11-13): a round would be pure churn.
-            # The entries wait for the repair/repower round.
-            return False
-        state["reint_round"] += 1
-        key = f"reintegration:{state['reint_round']}"
-
-        def plan_fn() -> Optional[PlannedTransfer]:
-            p = cluster.plan_selective_reintegration()
-            if p.actionable == 0:
-                return None
-            return PlannedTransfer(
-                nbytes=float(p.nbytes),
-                ranks=frozenset(p.involved_ranks()),
-                oids=p.oids,
-                commit=lambda p=p:
-                    cluster.commit_selective_reintegration(p))
-
-        manager.submit(TransferJob(key=key, kind="reintegration",
-                                   plan_fn=plan_fn,
-                                   rate_cap=reintegration_rate), now=now)
-        return True
-
-    def on_transfer_start(job: TransferJob, now: float) -> None:
-        if job.kind in ("recovery", "reintegration"):
-            injector.fire_trigger(job.kind, now)
-
-    manager.on_start = on_transfer_start
-
-    # ------------------------------------------------------------------
-    # fault handling
-    # ------------------------------------------------------------------
-    def attempt_repair(rank: int) -> None:
-        if cluster.inflight_ranks.get(rank, 0):
-            # A transfer still pins the rank (repair_server would
-            # refuse): drain first, try again next tick.
-            sim.schedule(dt, attempt_repair, rank)
-            return
-        cluster.repair_server(rank)
-        dirty_store.repair_node(rank)   # re-replicates its kv shard
-        state["crashed"].discard(rank)
-        target = min(state["desired"], n - len(state["crashed"]))
-        if target != cluster.num_active:
-            cluster.resize(target)
-        refresh_client_coefficients()
-        maybe_submit_reintegration(sim.now)
-
-    def handle_fault(action: FaultAction) -> None:
-        now = sim.now
-        if action.kind == "crash":
-            rank = action.rank
-            if rank in state["crashed"]:
-                return
-            manager.on_crash(rank)
-            dirty_store.crash_node(rank)   # its kv shard dies with it
-            work = cluster.crash_server(rank)
-            state["crashed"].add(rank)
-            refresh_client_coefficients()
-            if work.lost:
-                submit_recovery(work, now)
-            else:
-                cluster.commit_crash_recovery(work, strict=False)
-        elif action.kind == "repair":
-            attempt_repair(action.rank)
-        elif action.kind == "link_loss.start":
-            manager.on_link_loss((action.rank, action.peer))
-        # slow_disk.* and link_loss.end are ambient: capacities() and
-        # the launch-time link check pick them up.
-
-    injector.arm(sim, handle_fault)
-
-    # ------------------------------------------------------------------
-    # audits
-    # ------------------------------------------------------------------
-    def emit_audit(now: float, label: str = "periodic") -> None:
-        audit = cluster.replication_audit()
-        rec: Dict[str, object] = {
-            "t": now, "label": label, **audit,
-            "dirty": len(cluster.ech.dirty),
-            "active_transfers": len(manager.active),
-            "quarantined": len(manager.quarantined),
+        state = {
+            "desired": n,
+            "crashed": set(),
+            "reint_round": 0,
+            "degraded_reads": 0,
+            "unavailable_reads": 0,
         }
-        audits.append(rec)
-        if OBS.bus.active:
-            OBS.bus.clock = now
-            OBS.bus.emit("chaos.audit", t=now, label=label,
-                         objects=audit["objects"], lost=audit["lost"],
-                         under_replicated=audit["under_replicated"],
-                         dirty=rec["dirty"],
-                         quarantined=rec["quarantined"])
-        # The metadata substrate gets the same scrutiny as the data
-        # plane: its audit feeds the kv-* checkers (emits kv.audit).
-        rec["kv"] = dirty_store.audit(label)
+        audits: List[Dict[str, object]] = []
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    checker_sink: Optional[CheckerSink] = None
-    if check:
-        checker_sink = CheckerSink(InvariantSuite(default_checkers()))
-        OBS.bus.attach(checker_sink)
-    run_span = OBS.spans.begin("chaos.run", seed=seed, n=n,
-                               faults=len(plan))
-    throughput: List[float] = []
-    now = 0.0
-    next_audit = audit_every
-    try:
-        start_phase(0)
+        def sample_read(now: float) -> None:
+            """One deterministic read per tick through the degraded-read
+            fallback path — exercises the replica-chain walk whenever a
+            crash window leaves primaries dark."""
+            if client.written == 0:
+                return
+            oid = (int(round(now / dt)) % client.written) + 1
+            try:
+                _, degraded = cluster.read_with_fallback(oid)
+            except LookupError:
+                state["unavailable_reads"] += 1
+                OBS.bus.emit("read.unavailable", t=now, oid=oid)
+                return
+            if degraded:
+                state["degraded_reads"] += 1
+                OBS.bus.emit("read.degraded", t=now, oid=oid)
+
+        # --------------------------------------------------------------
+        # transfers
+        # --------------------------------------------------------------
+        def submit_recovery(work: CrashRecoveryWork, now: float) -> None:
+            key = f"recovery:r{work.rank}v{work.version}"
+
+            def plan_fn(work: CrashRecoveryWork = work
+                        ) -> Optional[PlannedTransfer]:
+                nbytes, ranks = cluster.crash_recovery_outlook(work)
+                return PlannedTransfer(
+                    nbytes=float(nbytes),
+                    ranks=frozenset(ranks),
+                    oids=tuple(sorted(work.lost)),
+                    commit=lambda: cluster.commit_crash_recovery(
+                        work, strict=False))
+
+            manager.submit(TransferJob(key=key, kind="recovery",
+                                       plan_fn=plan_fn), now=now)
+
+        def maybe_submit_reintegration(now: float) -> bool:
+            if any(job.kind == "reintegration"
+                   and job.status in ("pending", "active")
+                   for job in manager.jobs):
+                return False
+            if state["reint_round"] >= _MAX_REINTEGRATION_ROUNDS:
+                return False
+            outlook = cluster.plan_selective_reintegration()
+            if outlook.actionable == 0:
+                return False
+            if outlook.nbytes == 0 and not cluster.ech.is_full_power:
+                # Nothing to move, and below full power Algorithm 2 may
+                # not clear entries (lines 11-13): a round would be pure
+                # churn.  The entries wait for the repair/repower round.
+                return False
+            state["reint_round"] += 1
+            key = f"reintegration:{state['reint_round']}"
+
+            def plan_fn() -> Optional[PlannedTransfer]:
+                p = cluster.plan_selective_reintegration()
+                if p.actionable == 0:
+                    return None
+                return PlannedTransfer(
+                    nbytes=float(p.nbytes),
+                    ranks=frozenset(p.involved_ranks()),
+                    oids=p.oids,
+                    commit=lambda p=p:
+                        cluster.commit_selective_reintegration(p))
+
+            manager.submit(TransferJob(key=key, kind="reintegration",
+                                       plan_fn=plan_fn,
+                                       rate_cap=reintegration_rate),
+                           now=now)
+            return True
+
+        def on_transfer_start(job: TransferJob, now: float) -> None:
+            if job.kind in ("recovery", "reintegration"):
+                injector.fire_trigger(job.kind, now)
+
+        manager.on_start = on_transfer_start
+
+        # --------------------------------------------------------------
+        # fault handling
+        # --------------------------------------------------------------
+        def attempt_repair(rank: int) -> None:
+            if cluster.inflight_ranks.get(rank, 0):
+                # A transfer still pins the rank (repair_server would
+                # refuse): drain first, try again next tick.
+                sim.schedule(dt, attempt_repair, rank)
+                return
+            cluster.repair_server(rank)
+            dirty_store.repair_node(rank)   # re-replicates its kv shard
+            state["crashed"].discard(rank)
+            target = min(state["desired"], n - len(state["crashed"]))
+            if target != cluster.num_active:
+                cluster.resize(target)
+            client.refresh()
+            maybe_submit_reintegration(sim.now)
+
+        def handle_fault(action: FaultAction) -> None:
+            now = sim.now
+            if action.kind == "crash":
+                rank = action.rank
+                if rank in state["crashed"]:
+                    return
+                manager.on_crash(rank)
+                dirty_store.crash_node(rank)   # its kv shard dies with it
+                work = cluster.crash_server(rank)
+                state["crashed"].add(rank)
+                client.refresh()
+                if work.lost:
+                    submit_recovery(work, now)
+                else:
+                    cluster.commit_crash_recovery(work, strict=False)
+            elif action.kind == "repair":
+                attempt_repair(action.rank)
+            elif action.kind == "link_loss.start":
+                manager.on_link_loss((action.rank, action.peer))
+            # slow_disk.* and link_loss.end are ambient: the testbed's
+            # capacities and the launch-time link check pick them up.
+
+        injector.arm(sim, handle_fault)
+
+        # --------------------------------------------------------------
+        # audits
+        # --------------------------------------------------------------
+        def emit_audit(now: float, label: str = "periodic") -> None:
+            audit = cluster.replication_audit()
+            rec: Dict[str, object] = {
+                "t": now, "label": label, **audit,
+                "dirty": len(cluster.ech.dirty),
+                "active_transfers": len(manager.active),
+                "quarantined": len(manager.quarantined),
+            }
+            audits.append(rec)
+            if OBS.bus.active:
+                OBS.bus.clock = now
+                OBS.bus.emit("chaos.audit", t=now, label=label,
+                             objects=audit["objects"], lost=audit["lost"],
+                             under_replicated=audit["under_replicated"],
+                             dirty=rec["dirty"],
+                             quarantined=rec["quarantined"])
+            # The metadata substrate gets the same scrutiny as the data
+            # plane: its audit feeds the kv-* checkers (emits kv.audit).
+            rec["kv"] = dirty_store.audit(label)
+
+        # --------------------------------------------------------------
+        # main loop
+        # --------------------------------------------------------------
+        run.begin("chaos.run", seed=seed, n=n, faults=len(plan))
+        throughput: List[float] = []
+        now = 0.0
+        next_audit = audit_every
+        client.start(0)
         while now < max_duration:
             now += dt
             sim.run_until(now)          # fault actions interleave here
             manager.poll(now)
             achieved = io.step(now)
             throughput.append(achieved.get("client", 0.0))
-            materialise_writes(now)
+            client.materialise_writes()
             sample_read(now)
             if now >= next_audit:
                 emit_audit(now)
                 next_audit += audit_every
-            flow = state["client"]
-            if flow is None or not flow.done:
+            idx = client.end_phase(now)
+            if idx is None:
                 continue
-            idx = state["phase_idx"]
-            state["phase_ends"][phases[idx].name] = now
-            state["client"] = None
-            state["write_carry"] = 0.0
             if idx == 0:
                 state["desired"] = n - off_count
                 cluster.resize(min(state["desired"],
                                    n - len(state["crashed"])))
-                refresh_client_coefficients()
             elif idx == 1:
                 state["desired"] = n
                 cluster.resize(n - len(state["crashed"]))
-                refresh_client_coefficients()
                 maybe_submit_reintegration(now)
-            if idx + 1 < len(phases):
-                state["phase_idx"] = idx + 1
-                start_phase(idx + 1)
-                injector.fire_trigger(phases[idx + 1].name, now)
-            else:
+            if not client.start_next():
                 break
+            injector.fire_trigger(client.phase.name, now)
 
         # Drain: faults may still be scheduled (a delayed repair), and
         # preempted transfers retry until done or quarantined.
@@ -447,20 +369,6 @@ def run_chaos(
 
         dirty_store.anti_entropy()     # settle any repair debt left
         emit_audit(now, label="final")
-        run_span.end(status="completed")
-    except BaseException:
-        run_span.end(status="failed")
-        raise
-    finally:
-        if checker_sink is not None:
-            OBS.bus.detach(checker_sink)
-
-    violations: List[str] = []
-    checkers = events_seen = 0
-    if checker_sink is not None:
-        violations = [v.describe() for v in checker_sink.finish()]
-        checkers = len(checker_sink.suite.checkers)
-        events_seen = checker_sink.suite.events_seen
 
     # A quarantined re-integration round can be *superseded*: a later
     # round settles the same dirty entries (each plan re-snapshots the
@@ -476,7 +384,7 @@ def run_chaos(
         replicas=replicas,
         scale=scale,
         duration=now,
-        phase_ends=dict(state["phase_ends"]),
+        phase_ends=dict(client.ends),
         faults=[{"t": t, "kind": a.kind, "rank": a.rank,
                  "peer": a.peer, "factor": a.factor}
                 for t, a in injector.applied],
@@ -489,9 +397,9 @@ def run_chaos(
         audits=audits,
         final_audit=audits[-1] if audits else {},
         dirty_backlog=len(cluster.ech.dirty),
-        violations=violations,
-        checkers=checkers,
-        events_seen=events_seen,
+        violations=run.violations,
+        checkers=run.checkers,
+        events_seen=run.events_seen,
         peak_throughput=max(throughput) if throughput else 0.0,
         mean_throughput=(sum(throughput) / len(throughput)
                          if throughput else 0.0),
@@ -515,24 +423,8 @@ def render_chaos_report(result: ChaosResult) -> str:
         f"- client throughput: peak "
         f"{result.peak_throughput / 1e6:.1f} MB/s, mean "
         f"{result.mean_throughput / 1e6:.1f} MB/s",
-        "",
-        "## fault timeline",
-        "",
     ]
-    if result.faults:
-        lines += ["| t(s) | action | detail |", "| --- | --- | --- |"]
-        for f in result.faults:
-            detail = []
-            if f.get("rank") is not None:
-                detail.append(f"rank {f['rank']}")
-            if f.get("peer") is not None:
-                detail.append(f"peer {f['peer']}")
-            if f.get("factor") is not None:
-                detail.append(f"factor {f['factor']}")
-            lines.append(f"| {float(f['t']):.1f} | {f['kind']} | "
-                         f"{', '.join(detail)} |")
-    else:
-        lines.append("no faults fired.")
+    lines += fault_timeline_section(result.faults)
     lines += [
         "",
         "## transfers",
@@ -564,17 +456,7 @@ def render_chaos_report(result: ChaosResult) -> str:
             f"| {a['quarantined']} |")
     if len(result.audits) > 12:
         lines.append(f"(… {len(result.audits) - 12} audits elided …)")
-    lines += ["", "## invariants", ""]
-    if result.checkers:
-        if result.violations:
-            lines.append(f"{len(result.violations)} violation(s) across "
-                         f"{result.checkers} checkers:")
-            lines += [f"- {v}" for v in result.violations]
-        else:
-            lines.append(f"all {result.checkers} checkers hold over "
-                         f"{result.events_seen} events.")
-    else:
-        lines.append("checkers not attached (check=False).")
+    lines += invariants_section(result)
     verdict = "OK" if result.ok else "DEGRADED"
     lines += [
         "",

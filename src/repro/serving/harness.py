@@ -28,11 +28,7 @@ from typing import Dict, List, Optional
 from repro.cluster.cluster import ElasticCluster
 from repro.hashring.hashing import fnv1a_state, hash64_from
 from repro.obs.analytics import percentile
-from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
-from repro.obs.runtime import OBS
-from repro.simulation.engine import Simulator
-from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import IOModel
+from repro.testbed import Testbed, checked_run, invariants_section
 
 from repro.serving.clients import (
     ClosedLoopPopulation,
@@ -149,101 +145,78 @@ def run_serve(
     if not 0.0 <= write_ratio <= 1.0:
         raise ValueError("write_ratio must be in [0, 1]")
 
-    ctrl: FlowController = make_controller(
-        controller, **(controller_kwargs or {}))
-    sim = Simulator()
-    cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw)
+    with checked_run(check) as run:
+        ctrl: FlowController = make_controller(
+            controller, **(controller_kwargs or {}))
+        bed = Testbed(ElasticCluster(n, replicas, disk_bandwidth=disk_bw),
+                      disk_bw, dt)
+        sim, io, cluster = bed.sim, bed.io, bed.cluster
+        coord = AdmissionCoordinator(sim, io, ctrl, dt)
 
-    def capacities() -> Dict[int, float]:
-        table = cluster.ech.membership
-        return {r: disk_bw for r in cluster.servers if table.is_active(r)}
+        oid_counter = itertools.count(1)
+        state = {"written": 0}
+        for _ in range(prepopulate):
+            cluster.write(next(oid_counter), request_bytes)
+            state["written"] += 1
 
-    io = IOModel(capacities, dt,
-                 capacity_token=lambda: cluster.ech.current_version)
-    coord = AdmissionCoordinator(sim, io, ctrl, dt)
+        # -- request fabrication (placement + disk cost + materialisation) --
+        # *key* arguments are FNV-1a fold states of the request's hash
+        # namespace (see RequestFactory).
+        def pick_replica(oid: int, key: int) -> int:
+            servers = cluster.ech.locate(oid).servers
+            return servers[hash64_from(key, b":replica") % len(servers)]
 
-    oid_counter = itertools.count(1)
-    state = {"written": 0}
-    for _ in range(prepopulate):
-        cluster.write(next(oid_counter), request_bytes)
-        state["written"] += 1
+        def materialise(req: Request, _t: float) -> None:
+            cluster.write(req.oid, request_bytes)
+            state["written"] += 1
 
-    # -- request fabrication (placement + disk cost + materialisation) --
-    # *key* arguments are FNV-1a fold states of the request's hash
-    # namespace (see RequestFactory).
-    def pick_replica(oid: int, key: int) -> int:
-        servers = cluster.ech.locate(oid).servers
-        return servers[hash64_from(key, b":replica") % len(servers)]
+        def factory(pop: str, rid: int, key: int) -> Request:
+            is_write = unit_draw(key, b":rw") < write_ratio
+            if is_write:
+                oid = next(oid_counter)
+                server = cluster.ech.locate(oid).servers[0]
+                nbytes = float(replicas * request_bytes)
+                on_complete = materialise
+            else:
+                oid = 1 + hash64_from(key, b":oid") % max(1, state["written"])
+                server = pick_replica(oid, key)
+                nbytes = float(request_bytes)
+                on_complete = None
+            return Request(rid=rid, pop=pop, oid=oid, is_write=is_write,
+                           server=server, nbytes=nbytes, t_enqueue=sim.now,
+                           on_complete=on_complete)
 
-    def materialise(req: Request, _t: float) -> None:
-        cluster.write(req.oid, request_bytes)
-        state["written"] += 1
+        closed = ClosedLoopPopulation(
+            sim, coord, factory, clients=clients, think_time=think_time,
+            seed=seed, name="closed")
+        open_pop = OpenLoopPopulation(
+            sim, coord, factory, users=users, per_user_rate=per_user_rate,
+            seed=seed, until=duration, name="open")
 
-    def factory(pop: str, rid: int, key: int) -> Request:
-        is_write = unit_draw(key, b":rw") < write_ratio
-        if is_write:
-            oid = next(oid_counter)
-            server = cluster.ech.locate(oid).servers[0]
-            nbytes = float(replicas * request_bytes)
-            on_complete = materialise
-        else:
-            oid = 1 + hash64_from(key, b":oid") % max(1, state["written"])
-            server = pick_replica(oid, key)
-            nbytes = float(request_bytes)
-            on_complete = None
-        return Request(rid=rid, pop=pop, oid=oid, is_write=is_write,
-                       server=server, nbytes=nbytes, t_enqueue=sim.now,
-                       on_complete=on_complete)
+        # -- resize actions -------------------------------------------------
+        failover_state = fnv1a_state(f"{seed}:failover:".encode())
 
-    closed = ClosedLoopPopulation(
-        sim, coord, factory, clients=clients, think_time=think_time,
-        seed=seed, name="closed")
-    open_pop = OpenLoopPopulation(
-        sim, coord, factory, users=users, per_user_rate=per_user_rate,
-        seed=seed, until=duration, name="open")
+        def relocate(req: Request) -> int:
+            if req.is_write:
+                return cluster.ech.locate(req.oid).servers[0]
+            return pick_replica(
+                req.oid, fnv1a_state(b"%d" % req.rid, failover_state))
 
-    # -- resize actions -------------------------------------------------
-    failover_state = fnv1a_state(f"{seed}:failover:".encode())
-
-    def relocate(req: Request) -> int:
-        if req.is_write:
-            return cluster.ech.locate(req.oid).servers[0]
-        return pick_replica(
-            req.oid, fnv1a_state(b"%d" % req.rid, failover_state))
-
-    def resize_down() -> None:
-        cluster.resize(n - off_count)
-        table = cluster.ech.membership
-        gone = [r for r in cluster.servers if not table.is_active(r)]
-        coord.failover(gone, relocate)
-
-    def resize_up() -> None:
-        cluster.resize(n)
-        cycle = cluster.reintegration_cycle
-        backlog = cluster.selective_backlog_bytes()
-        report = cluster.run_selective_reintegration()
-        volume = max(report.bytes_migrated, backlog)
-        if volume > 0:
+        def resize_down() -> None:
+            cluster.resize(n - off_count)
             table = cluster.ech.membership
-            active = [r for r in cluster.servers if table.is_active(r)]
-            io.flows.add(FluidFlow(
-                name="migration",
-                coefficients={r: 1.0 / len(active) for r in active},
-                total_bytes=float(volume),
-                rate_cap=selective_rate_limit,
-            ), parent=cycle)
+            gone = [r for r in cluster.servers if not table.is_active(r)]
+            coord.failover(gone, relocate)
 
-    sim.schedule_at(resize_at, resize_down)
-    sim.schedule_at(resize_back_at, resize_up)
+        def resize_up() -> None:
+            cluster.resize(n)
+            bed.reintegrate_selective(selective_rate_limit)
 
-    # -- run ------------------------------------------------------------
-    checker_sink: Optional[CheckerSink] = None
-    if check:
-        checker_sink = CheckerSink(InvariantSuite(default_checkers()))
-        OBS.bus.attach(checker_sink)
-    run_span = OBS.spans.begin("serve.run", seed=seed, n=n,
-                               controller=ctrl.name)
-    try:
+        sim.schedule_at(resize_at, resize_down)
+        sim.schedule_at(resize_back_at, resize_up)
+
+        # -- run --------------------------------------------------------
+        run.begin("serve.run", seed=seed, n=n, controller=ctrl.name)
         closed.start()
         open_pop.start()
         ticks = round(duration / dt)
@@ -255,20 +228,6 @@ def run_serve(
             achieved = io.step(now)
             coord.end_tick(now, achieved)
         coord.shutdown()
-        run_span.end(status="completed")
-    except BaseException:
-        run_span.end(status="failed")
-        raise
-    finally:
-        if checker_sink is not None:
-            OBS.bus.detach(checker_sink)
-
-    violations: List[str] = []
-    checkers = events_seen = 0
-    if checker_sink is not None:
-        violations = [v.describe() for v in checker_sink.finish()]
-        checkers = len(checker_sink.suite.checkers)
-        events_seen = checker_sink.suite.events_seen
 
     latency = {pop: latency_stats(vals)
                for pop, vals in sorted(coord.latencies.items())}
@@ -296,8 +255,8 @@ def run_serve(
         migration_bytes=io.total_moved("migration"),
         served_bytes=coord.served_bytes,
         slo_p99=slo_p99, slo_met=slo_met,
-        violations=violations, checkers=checkers,
-        events_seen=events_seen,
+        violations=run.violations, checkers=run.checkers,
+        events_seen=run.events_seen,
     )
 
 
@@ -343,20 +302,8 @@ def render_serve_report(result: ServeResult) -> str:
         f"- closed-loop retries: {result.closed_retries}",
         f"- failovers on resize: {result.failovers}",
         f"- outstanding at cutoff: {result.outstanding}",
-        "",
-        "## invariants",
-        "",
     ]
-    if result.checkers:
-        if result.violations:
-            lines.append(f"{len(result.violations)} violation(s) across "
-                         f"{result.checkers} checkers:")
-            lines += [f"- {v}" for v in result.violations]
-        else:
-            lines.append(f"all {result.checkers} checkers hold over "
-                         f"{result.events_seen} events.")
-    else:
-        lines.append("checkers not attached (check=False).")
+    lines += invariants_section(result)
     if result.slo_met is None:
         slo = "n/a (no completions)"
     elif result.slo_met:

@@ -35,16 +35,39 @@ class TestTimelineIntegrity:
 
 class TestWriteMaterialisation:
     def test_objects_created_match_written_bytes(self):
-        res = run_three_phase("none", scale=SCALE)
+        """Drive the shared phase driver by hand: each phase creates
+        exactly the whole 4 MB objects in its written bytes, and the
+        fractional carry resets when the phase ends."""
+        from repro.cluster.cluster import ElasticCluster
+        from repro.testbed import ClientPhases, Testbed
         from repro.workloads.three_phase import three_phase_workload
+        mb4 = 4 * 1024 * 1024
         phases = three_phase_workload(SCALE)
-        written = sum(p.write_bytes for p in phases)
-        # The driver rounds down to whole 4 MB objects per tick; the
-        # shortfall is bounded by one object per phase.
-        # (We can't reach the cluster from the result, so check via
-        # migrated/zero invariants + a fresh run's byte accounting.)
-        assert written > 0
-        assert res.migrated_bytes == 0
+        bed = Testbed(ElasticCluster(10, 2, disk_bandwidth=64e6,
+                                     layout_mode="uniform",
+                                     placement_mode="original"),
+                      disk_bw=64e6, dt=1.0)
+        client = ClientPhases(bed, phases, replicas=2, client_cap=320e6,
+                              object_size=mb4)
+        client.start(0)
+        now, created, leftover = 0.0, [], []
+        while now < 3_600.0:
+            now += 1.0
+            bed.io.step(now)
+            client.materialise_writes()
+            carry = client.carry
+            if client.end_phase(now) is None:
+                continue
+            created.append(client.written - sum(created))
+            leftover.append(carry)
+            assert client.carry == 0.0
+            if not client.start_next():
+                break
+        assert created == [int(p.write_bytes // mb4) for p in phases]
+        assert leftover == [pytest.approx(p.write_bytes % mb4)
+                            for p in phases]
+        assert len(bed.cluster.catalog) == client.written == sum(created)
+        assert set(client.ends) == {p.name for p in phases}
 
     def test_dirty_objects_only_from_phase2(self):
         res = run_three_phase("selective", scale=SCALE)

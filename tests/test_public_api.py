@@ -31,6 +31,10 @@ SURFACE = {
         "check_cluster", "FsckReport", "FsckIssue",
         "MachineHourMeter", "PowerModel",
     ],
+    "repro.testbed": [
+        "Testbed", "ClientPhases", "CheckedRun", "checked_run",
+        "invariants_section", "fault_timeline_section",
+    ],
     "repro.simulation": [
         "Simulator", "Event", "max_min_fair", "FluidFlow", "FlowSet",
         "IOModel",
